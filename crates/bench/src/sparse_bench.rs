@@ -24,7 +24,7 @@
 //! hard error: the bench refuses to report a speedup for a wrong answer.
 
 use crate::solver_bench::bits_equal;
-use lcosc_campaign::{CampaignBatch, Json};
+use lcosc_campaign::{Campaign, Json};
 use lcosc_circuit::workloads::{
     coupled_tank_network, coupled_tank_network_scaled, pad_driver_array, rc_ladder,
 };
@@ -259,12 +259,9 @@ fn assert_close(a: &TransientResult, b: &TransientResult, label: &str) -> Result
 /// per-job under [`SolverPath::Auto`] (which routes them sparse).
 fn run_fleet(decks: &[Netlist], threads: usize) -> Result<Vec<TransientResult>, String> {
     let opts = TransientOptions::new(20e-9, 4e-6);
-    let outcome = CampaignBatch::new("sensor_fleet", decks.to_vec())
+    let outcome = Campaign::new("sensor_fleet", decks.to_vec())
         .threads(threads)
-        .solo(true)
-        .try_run(Netlist::structural_digest, |_ctxs, unit| {
-            unit.iter().map(|d| run_transient(d, &opts)).collect()
-        })
+        .try_run(|_ctx, deck| run_transient(deck, &opts))
         .map_err(|e| format!("fleet campaign: {e}"))?;
     Ok(outcome.results)
 }

@@ -29,7 +29,6 @@
 use crate::seed::job_seed;
 use lcosc_trace::{Trace, TraceEvent};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// Per-job context handed to the worker closure.
@@ -157,8 +156,8 @@ impl<J: Sync> Campaign<J> {
         let n = self.jobs.len();
         let threads = self.threads.min(n.max(1));
         let (results, walls) = if threads <= 1 {
-            // Serial fast path: no pool, no channel — identical to a plain
-            // loop (and to what the workspace did before this crate).
+            // Serial fast path: no pool — identical to a plain loop (and to
+            // what the workspace did before this crate).
             let mut walls = Vec::with_capacity(n);
             let results = self
                 .jobs
@@ -245,10 +244,11 @@ impl<J: Sync> Campaign<J> {
     }
 }
 
-/// The parallel path: `threads` scoped workers drain an atomic job counter
-/// and send `(index, wall_ns, result)` triples back over a channel; the
-/// calling thread stores each into its slot. Returns results and per-job
-/// wall-clock durations, both in job-index order.
+/// The parallel path: the calling thread and `threads − 1` scoped helpers
+/// drain one atomic job counter, each into a local list of
+/// `(index, wall_ns, result)` triples; the helpers hand theirs back through
+/// `join`, and the caller stores every triple into its index slot. Returns
+/// results and per-job wall-clock durations, both in job-index order.
 fn run_pool<J, R, F>(jobs: &[J], seed: u64, threads: usize, worker: &F) -> (Vec<R>, Vec<u128>)
 where
     J: Sync,
@@ -257,35 +257,33 @@ where
 {
     let n = jobs.len();
     let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<(R, u128)>> = (0..n).map(|_| None).collect();
-    let (tx, rx) = mpsc::channel::<(usize, u128, R)>();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let next = &next;
-            scope.spawn(move || {
-                loop {
-                    // Claim the next unclaimed job; the counter is the whole
-                    // scheduler, so an idle worker "steals" whatever a busy
-                    // one has not yet claimed.
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let ctx = JobCtx {
-                        index: i,
-                        seed: job_seed(seed, i as u64),
-                    };
-                    let t0 = Instant::now();
-                    let result = worker(ctx, &jobs[i]);
-                    if tx.send((i, t0.elapsed().as_nanos(), result)).is_err() {
-                        break; // receiver gone: abandon quietly
-                    }
-                }
-            });
+    let drain = || {
+        let mut done = Vec::new();
+        loop {
+            // Claim the next unclaimed job; the counter is the whole
+            // scheduler, so an idle worker "steals" whatever a busy one has
+            // not yet claimed.
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break done;
+            }
+            let ctx = JobCtx {
+                index: i,
+                seed: job_seed(seed, i as u64),
+            };
+            let t0 = Instant::now();
+            let result = worker(ctx, &jobs[i]);
+            done.push((i, t0.elapsed().as_nanos(), result));
         }
-        drop(tx);
-        for (i, wall_ns, result) in rx {
+    };
+    let mut slots: Vec<Option<(R, u128)>> = (0..n).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(drain)).collect();
+        let mine = drain();
+        let theirs = helpers
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+        for (i, wall_ns, result) in mine.into_iter().chain(theirs) {
             slots[i] = Some((result, wall_ns));
         }
     });

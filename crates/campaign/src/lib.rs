@@ -14,8 +14,12 @@
 //! - the only machine-dependent output is the wall-clock in
 //!   [`CampaignStats`], reported separately from the results.
 //!
+//! Jobs are scheduled one per claim from an atomic counter; the calling
+//! thread works alongside `threads − 1` scoped helpers. There is no
+//! batching layer and no environment variable that changes scheduling.
+//!
 //! The crate is dependency-free (`std` only, `forbid(unsafe_code)` via the
-//! workspace lints; parallelism is `std::thread::scope` + channels) and
+//! workspace lints; parallelism is `std::thread::scope`) and
 //! also hosts the byte-stable [`json`] writer the golden-file regression
 //! tests are built on.
 //!
@@ -45,12 +49,10 @@
 
 #![warn(missing_docs)]
 
-pub mod batch;
 mod engine;
 pub mod json;
 pub mod seed;
 
-pub use batch::{BatchPlan, BatchStats, BatchUnit, CampaignBatch};
 pub use engine::{Campaign, CampaignOutcome, CampaignStats, JobCtx};
 pub use json::{Json, JsonParseError};
 pub use seed::{digest_bytes, job_seed};

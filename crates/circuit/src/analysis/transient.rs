@@ -75,8 +75,7 @@ pub enum SolverPath {
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Stepping {
     /// Fixed `dt` steps — the bit-stable house default. Every recorded
-    /// sample sits exactly on the `k·dt` grid and the batched campaign
-    /// path is bit-identical to this.
+    /// sample sits exactly on the `k·dt` grid.
     #[default]
     Fixed,
     /// Local-truncation-error–controlled adaptive stepping: each internal
@@ -253,11 +252,9 @@ pub struct SolverStats {
     /// Sparse symbolic analyses reused from the process-wide cache (0 or 1:
     /// a cache hit on the netlist's structural digest).
     pub symbolic_reuses: u64,
-    /// Number of lanes in the batched solve that produced this result, or
-    /// zero when the deck was solved on its own (reference or per-job fast
-    /// path). Lane membership does not affect any numeric output — batched
-    /// lanes are bit-identical to per-job solves — so this is purely a
-    /// work-accounting counter.
+    /// Lanes of a batched solve. Always zero: every deck is solved on its
+    /// own. The field stays so the `batched_lanes` key of the golden trace
+    /// and metrics JSON keeps its bytes.
     pub batched_lanes: u64,
     /// Internal steps the adaptive LTE controller accepted (zero on the
     /// fixed-grid path, whose steps are unconditional).
@@ -431,28 +428,6 @@ impl TransientResult {
             .collect()
     }
 
-    /// Creates an empty result with pre-sized storage for the batch path.
-    pub(crate) fn with_capacity(
-        nl: &Netlist,
-        samples: usize,
-        stats: SolverStats,
-    ) -> TransientResult {
-        let nn = nl.node_count() - 1;
-        TransientResult {
-            times: Vec::with_capacity(samples),
-            node_count: nl.node_count(),
-            element_count: nl.elements().len(),
-            voltages: Vec::with_capacity(samples * nn),
-            currents: Vec::with_capacity(samples * nl.elements().len()),
-            stats,
-        }
-    }
-
-    /// Mutable access to the work counters (batch path bookkeeping).
-    pub(crate) fn stats_mut(&mut self) -> &mut SolverStats {
-        &mut self.stats
-    }
-
     /// Appends one sample row. `branch` is the netlist's branch-index table,
     /// hoisted once per run so recording stays linear in element count.
     pub(crate) fn push_sample(
@@ -469,20 +444,6 @@ impl TransientResult {
             self.currents.push(element_current(nl, branch, k, x, mode));
         }
     }
-
-    /// Appends one sample row from pre-computed per-node voltages and
-    /// per-element currents (the batch path gathers these lanes-inner and
-    /// hands over this lane's column).
-    pub(crate) fn push_sample_iters(
-        &mut self,
-        t: f64,
-        volts: impl Iterator<Item = f64>,
-        currs: impl Iterator<Item = f64>,
-    ) {
-        self.times.push(t);
-        self.voltages.extend(volts);
-        self.currents.extend(currs);
-    }
 }
 
 /// Number of samples `run_transient` records: `t = 0`, every `stride`-th
@@ -496,10 +457,9 @@ pub(crate) fn sample_count(steps: usize, stride: usize) -> usize {
 /// purely by floating-point rounding, e.g. `t_end / dt` landing a ulp above
 /// an integer — adds a final step past `t_end`.
 ///
-/// This is the **single** definition of the step count: the solo transient
-/// path and the batched campaign path both call it, so an FP boundary case
-/// cannot give them different step counts (which would silently break their
-/// bit-equivalence).
+/// This is the **single** definition of the step count: the fixed-grid and
+/// adaptive transient paths both call it, so an FP boundary case cannot give
+/// them different output grids.
 pub(crate) fn step_count(t_end: f64, dt: f64) -> usize {
     (t_end / dt).ceil() as usize
 }
@@ -1525,10 +1485,10 @@ mod tests {
     }
 
     #[test]
-    fn step_count_is_the_shared_solo_and_batch_definition() {
-        // The solo path records `step_count` steps; pin the observable
-        // count through a real run so a future divergence in either caller
-        // is caught here.
+    fn step_count_is_the_recorded_step_count() {
+        // The fixed-grid path records `step_count` steps; pin the
+        // observable count through a real run so a future divergence in
+        // any caller is caught here.
         let mut nl = Netlist::new();
         let a = nl.node("a");
         nl.current_source(a, Netlist::GROUND, Waveform::Dc(1e-3));

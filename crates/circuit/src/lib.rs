@@ -43,7 +43,6 @@ pub mod stamp;
 pub mod workloads;
 
 pub use analysis::ac::{ac_sweep, logspace, AcPoint};
-pub use analysis::batch::run_transient_batch;
 pub use analysis::dc::{solve_dc, solve_dc_with, DcOptions, DcSolution};
 pub use analysis::sweep::{dc_sweep, SweepPoint};
 pub use analysis::transient::{

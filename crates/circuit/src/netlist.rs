@@ -723,7 +723,7 @@ impl Netlist {
     /// initial conditions, switch state, ...) are deliberately excluded:
     /// two decks with equal digests stamp the same MNA sparsity pattern in
     /// the same element order, which is exactly the precondition for
-    /// solving them as lanes of one batched system. FNV-1a over the
+    /// sharing one sparse symbolic analysis. FNV-1a over the
     /// structural bytes, finished with a SplitMix64-style avalanche so
     /// near-identical decks spread across the digest space.
     pub fn structural_digest(&self) -> u64 {

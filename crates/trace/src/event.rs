@@ -251,9 +251,9 @@ pub enum TraceEvent {
         /// Stepping-machinery heap allocations performed after the first
         /// time step (0 on the fast path).
         post_warmup_allocations: u64,
-        /// Lanes in the batched solve that produced this result (0 when
-        /// the deck was solved on its own). Work accounting only — lane
-        /// results are bit-identical to solo solves by contract.
+        /// Lanes of a batched solve. Always 0 from the workspace solvers,
+        /// which solve every deck on its own; kept so the golden stream's
+        /// bytes do not change.
         batched_lanes: u64,
         /// Sparse symbolic analyses performed (0 on dense paths and on
         /// sparse runs served by the symbolic cache).

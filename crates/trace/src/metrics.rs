@@ -126,8 +126,8 @@ pub struct TraceMetrics {
     /// Post-warm-up allocations across all reported solves (0 when every
     /// solve took the fast path).
     pub solver_post_warmup_allocations: u64,
-    /// Batched-solve lanes across all reported solves (each solve reports
-    /// its own batch width; solo solves report 0).
+    /// Batched-solve lanes summed across all reported solves (0 from the
+    /// workspace solvers; kept so the metrics JSON bytes do not change).
     pub solver_batched_lanes: u64,
     /// Sparse symbolic analyses performed across all reported solves.
     pub solver_symbolic_analyses: u64,
