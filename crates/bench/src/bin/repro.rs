@@ -31,7 +31,7 @@
 //!   `--trace-level metrics` `PATH` receives only the (golden) metrics
 //!   JSON, timing in `PATH.timing.json`.
 //! - `--bench-out PATH` runs the deterministic transient-solver benchmark
-//!   (fast path vs. `LCOSC_SOLVER=reference` path, bit-identity enforced)
+//!   (fast path vs. `SolverPath::Reference`, bit-identity enforced)
 //!   and writes the wall-clock/speedup/solver-counter report to `PATH`
 //!   (e.g. `BENCH_PR4.json` — the perf regression trajectory).
 //! - `--serve-bench` runs the `lcosc-serve` loopback load driver (64 mixed
@@ -422,9 +422,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             report.fleet.symbolic_analyses,
             report.fleet.symbolic_reuses,
         );
-        if report.solver_hatch {
-            println!("sparse bench: LCOSC_SOLVER hatch active, gate skipped");
-        } else if report.gate_met() {
+        if report.gate_met() {
             println!(
                 "sparse bench: ladder speedup {:.2}x ({} unknowns), gate >= {:.0}x met, auto policy proven",
                 report.ladder.speedup(),
@@ -445,8 +443,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Multi-rate engine: the 11-fault mission catalog at cycle vs
     // multi-rate fidelity, outcome identity enforced per fault, with the
-    // >= 10x mission-profile speedup gate (unless the fidelity hatch
-    // pinned both arms to one engine).
+    // >= 10x mission-profile speedup gate.
     if args.multirate_bench {
         let report = multirate_bench::run_multirate_bench(&tracer)?;
         write_text(
@@ -483,9 +480,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             report.multirate_total().as_secs_f64(),
             report.catalog_speedup(),
         );
-        if report.fidelity_hatch {
-            println!("multirate bench: LCOSC_FIDELITY hatch active, gate skipped");
-        } else if report.gate_met() {
+        if report.gate_met() {
             println!(
                 "multirate bench: headline ({}) speedup {:.2}x, gate >= {:.0}x met, outcomes identical",
                 multirate_bench::HEADLINE_FAULT,

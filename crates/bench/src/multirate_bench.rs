@@ -99,9 +99,6 @@ pub struct MultirateBenchReport {
     pub missions: Vec<FaultMission>,
     /// Hand-off statistics of the instrumented `DriverDead` mission.
     pub mode_stats: ModeStats,
-    /// Whether `LCOSC_FIDELITY` was set, pinning both measurement arms to
-    /// the same engine and making the speedup meaningless.
-    pub fidelity_hatch: bool,
 }
 
 impl MultirateBenchReport {
@@ -182,7 +179,6 @@ impl MultirateBenchReport {
         };
         Json::obj([
             ("bench", Json::from("pr9_multirate")),
-            ("fidelity_hatch", Json::from(self.fidelity_hatch)),
             ("gate_min_speedup", Json::from(GATE_MIN_SPEEDUP)),
             ("gate_met", Json::from(self.gate_met())),
             (
@@ -324,8 +320,6 @@ fn run_multirate_bench_with(
     cfg: &OscillatorConfig,
     post_fault_ticks: usize,
 ) -> Result<MultirateBenchReport, String> {
-    let fidelity_hatch = std::env::var_os("LCOSC_FIDELITY").is_some();
-
     let mut missions = Vec::new();
     for fault in Fault::catalog() {
         let (cycle_wall, cycle) = time_mission(fault, cfg, Fidelity::Cycle, post_fault_ticks)?;
@@ -363,7 +357,6 @@ fn run_multirate_bench_with(
     Ok(MultirateBenchReport {
         missions,
         mode_stats,
-        fidelity_hatch,
     })
 }
 
@@ -424,7 +417,6 @@ mod tests {
         let json = report.to_json().render_pretty(2);
         for key in [
             "pr9_multirate",
-            "fidelity_hatch",
             "gate_min_speedup",
             "gate_met",
             "mission_post_fault_ticks",
@@ -459,7 +451,6 @@ mod tests {
         let mk = |missions: Vec<FaultMission>| MultirateBenchReport {
             missions,
             mode_stats: ModeStats::default(),
-            fidelity_hatch: false,
         };
         // A cycle-bound catalog fault at 1x must not sink the gate...
         let r = mk(vec![

@@ -110,9 +110,6 @@ pub struct SparseBenchReport {
     pub auto_policy_ok: bool,
     /// The fleet-determinism campaign.
     pub fleet: FleetOutcome,
-    /// Whether `LCOSC_SOLVER` was set, overriding path selection and
-    /// making the forced-path measurements meaningless.
-    pub solver_hatch: bool,
 }
 
 impl SparseBenchReport {
@@ -138,7 +135,6 @@ impl SparseBenchReport {
         };
         Json::obj([
             ("bench", Json::from("pr8_sparse_mna")),
-            ("solver_hatch", Json::from(self.solver_hatch)),
             ("gate_min_speedup", Json::from(GATE_MIN_SPEEDUP)),
             ("gate_met", Json::from(self.gate_met())),
             ("sparse_min_unknowns", Json::from(SPARSE_MIN_UNKNOWNS)),
@@ -211,17 +207,15 @@ fn time_path(
 }
 
 /// Measures one ladder size dense vs sparse and probes the Auto pick.
-fn measure_ladder(sections: usize, solver_hatch: bool) -> Result<CrossoverPoint, String> {
+fn measure_ladder(sections: usize) -> Result<CrossoverPoint, String> {
     let nl = rc_ladder(sections);
     let opts = ladder_opts();
     let (dense_wall, dense) = time_path(&nl, &opts, SolverPath::Dense)?;
     let (sparse_wall, sparse) = time_path(&nl, &opts, SolverPath::Sparse)?;
-    if !solver_hatch {
-        if dense.stats().used_sparse_path || !sparse.stats().used_sparse_path {
-            return Err(format!("ladder {sections}: forced paths were not honored"));
-        }
-        assert_close(&sparse, &dense, &format!("ladder {sections}"))?;
+    if dense.stats().used_sparse_path || !sparse.stats().used_sparse_path {
+        return Err(format!("ladder {sections}: forced paths were not honored"));
     }
+    assert_close(&sparse, &dense, &format!("ladder {sections}"))?;
     let mut auto_opts = opts;
     auto_opts.solver = SolverPath::Auto;
     let auto = run_transient(&nl, &auto_opts).map_err(|e| format!("auto transient: {e}"))?;
@@ -269,7 +263,7 @@ fn run_fleet(decks: &[Netlist], threads: usize) -> Result<Vec<TransientResult>, 
 /// The fleet-determinism campaign: value-variant sensor networks, serial
 /// vs 4-thread byte-compare, symbolic-cache accounting from the serial
 /// run.
-fn run_fleet_campaign(jobs: usize, solver_hatch: bool) -> Result<FleetOutcome, String> {
+fn run_fleet_campaign(jobs: usize) -> Result<FleetOutcome, String> {
     let decks: Vec<Netlist> = (0..jobs)
         .map(|k| coupled_tank_network_scaled(FLEET_TANKS, 0.9 + 0.01 * k as f64))
         .collect();
@@ -285,11 +279,9 @@ fn run_fleet_campaign(jobs: usize, solver_hatch: bool) -> Result<FleetOutcome, S
             ));
         }
     }
-    if !solver_hatch {
-        for (job, r) in serial.iter().enumerate() {
-            if !r.stats().used_sparse_path {
-                return Err(format!("fleet job {job}: expected the sparse path"));
-            }
+    for (job, r) in serial.iter().enumerate() {
+        if !r.stats().used_sparse_path {
+            return Err(format!("fleet job {job}: expected the sparse path"));
         }
     }
     Ok(FleetOutcome {
@@ -334,9 +326,7 @@ fn run_sparse_bench_with(
     crossover_sections: &[usize],
     fleet_jobs: usize,
 ) -> Result<SparseBenchReport, String> {
-    let solver_hatch = std::env::var_os("LCOSC_SOLVER").is_some();
-
-    let ladder = measure_ladder(ladder_sections, solver_hatch)?;
+    let ladder = measure_ladder(ladder_sections)?;
     let nl = rc_ladder(ladder_sections);
     let opts = ladder_opts();
     let (_, sparse) = time_path(&nl, &opts, SolverPath::Sparse)?;
@@ -358,15 +348,14 @@ fn run_sparse_bench_with(
 
     let mut crossover = Vec::with_capacity(crossover_sections.len());
     for &sections in crossover_sections {
-        crossover.push(measure_ladder(sections, solver_hatch)?);
+        crossover.push(measure_ladder(sections)?);
     }
-    let auto_policy_ok = solver_hatch
-        || crossover
-            .iter()
-            .chain(std::iter::once(&ladder))
-            .all(|p| p.auto_used_sparse == (p.unknowns >= SPARSE_MIN_UNKNOWNS));
+    let auto_policy_ok = crossover
+        .iter()
+        .chain(std::iter::once(&ladder))
+        .all(|p| p.auto_used_sparse == (p.unknowns >= SPARSE_MIN_UNKNOWNS));
 
-    let fleet = run_fleet_campaign(fleet_jobs, solver_hatch)?;
+    let fleet = run_fleet_campaign(fleet_jobs)?;
     run_differential()?;
 
     Ok(SparseBenchReport {
@@ -375,7 +364,6 @@ fn run_sparse_bench_with(
         crossover,
         auto_policy_ok,
         fleet,
-        solver_hatch,
     })
 }
 
@@ -422,12 +410,10 @@ mod tests {
         // headline speedup needs the 1000-node run.
         let report = run_sparse_bench_with(&Trace::off(), 220, &[16, 126], 6).expect("bench");
         assert_eq!(report.crossover.len(), 2);
-        if !report.solver_hatch {
-            assert!(report.auto_policy_ok);
-            assert!(report.fleet.cache_effective());
-            assert!(report.ladder_stats.used_sparse_path);
-            assert_eq!(report.ladder_stats.factorizations, 1);
-        }
+        assert!(report.auto_policy_ok);
+        assert!(report.fleet.cache_effective());
+        assert!(report.ladder_stats.used_sparse_path);
+        assert_eq!(report.ladder_stats.factorizations, 1);
         let json = report.to_json().render_pretty(2);
         for key in [
             "pr8_sparse_mna",
@@ -464,7 +450,6 @@ mod tests {
                 symbolic_analyses: 4 - reuses.min(4),
                 symbolic_reuses: reuses,
             },
-            solver_hatch: false,
         };
         assert!(mk(point(60, 10), true, 3).gate_met());
         assert!(!mk(point(40, 10), true, 3).gate_met(), "speedup gate");

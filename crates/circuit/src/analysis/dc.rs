@@ -1,7 +1,7 @@
 //! DC operating-point analysis: Newton–Raphson with gmin stepping and
 //! source stepping fallbacks.
 
-use crate::analysis::newton_solve;
+use crate::analysis::{newton_solve, NewtonLimits};
 use crate::netlist::{ElementId, Netlist, NodeId};
 use crate::stamp::{element_current, Mode};
 use crate::Result;
@@ -100,22 +100,19 @@ pub fn solve_dc_with(
         _ => vec![0.0; n],
     };
 
+    let lim = NewtonLimits {
+        max_iter: opts.max_iter,
+        v_tol: opts.v_tol,
+        v_step_limit: opts.v_step_limit,
+        analysis: "dc",
+    };
     let mode_final = Mode::Dc {
         gmin: opts.gmin_final,
         source_scale: 1.0,
     };
 
     // 1. Direct Newton from the warm start.
-    let direct = newton_solve(
-        nl,
-        &x0,
-        &mode_final,
-        opts.max_iter,
-        opts.v_tol,
-        opts.v_step_limit,
-        "dc",
-        0.0,
-    );
+    let direct = newton_solve(nl, &x0, &mode_final, &lim, 0.0);
     let x = match direct {
         Ok(x) => x,
         Err(_) => {
@@ -127,16 +124,7 @@ pub fn solve_dc_with(
                     gmin,
                     source_scale: 1.0,
                 };
-                match newton_solve(
-                    nl,
-                    &x,
-                    &mode,
-                    opts.max_iter,
-                    opts.v_tol,
-                    opts.v_step_limit,
-                    "dc",
-                    0.0,
-                ) {
+                match newton_solve(nl, &x, &mode, &lim, 0.0) {
                     Ok(xn) => x = xn,
                     Err(_) => {
                         ok = false;
@@ -155,16 +143,7 @@ pub fn solve_dc_with(
                         gmin: opts.gmin_final.max(1e-12),
                         source_scale: scale,
                     };
-                    x = newton_solve(
-                        nl,
-                        &x,
-                        &mode,
-                        opts.max_iter,
-                        opts.v_tol,
-                        opts.v_step_limit,
-                        "dc",
-                        scale,
-                    )?;
+                    x = newton_solve(nl, &x, &mode, &lim, scale)?;
                 }
                 x
             }

@@ -19,12 +19,6 @@ fn bits_equal(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-/// Whether `LCOSC_SOLVER=reference` is forcing every run onto the
-/// reference path, making fast-path stats assertions meaningless.
-fn hatch_forced() -> bool {
-    std::env::var_os("LCOSC_SOLVER").is_some_and(|v| v == "reference")
-}
-
 fn assert_bit_identical(fast: &TransientResult, reference: &TransientResult, label: &str) {
     assert!(
         bits_equal(fast.times(), reference.times()),
@@ -117,7 +111,7 @@ fn linear_tank_is_bit_identical_under_both_integrators() {
         opts.integrator = integrator;
         let (fast, reference) = run_both(&nl, &opts);
         assert_bit_identical(&fast, &reference, &format!("tank/{integrator:?}"));
-        assert!(fast.stats().used_linear_fast_path || hatch_forced());
+        assert!(fast.stats().used_linear_fast_path);
         assert!(!reference.stats().used_linear_fast_path);
     }
 }
@@ -156,9 +150,6 @@ fn nonlinear_deck_is_bit_identical_under_both_integrators() {
 
 #[test]
 fn linear_fast_path_counters_prove_single_factorization_and_no_allocs() {
-    if hatch_forced() {
-        return; // hatch disables the path under test
-    }
     let nl = tank();
     let opts = TransientOptions::new(5e-9, 10e-6);
     let res = run_transient(&nl, &opts).expect("converges");
@@ -174,9 +165,6 @@ fn linear_fast_path_counters_prove_single_factorization_and_no_allocs() {
 
 #[test]
 fn nonlinear_fast_path_reuses_workspace() {
-    if hatch_forced() {
-        return; // hatch disables the path under test
-    }
     let nl = diode_deck();
     let opts = TransientOptions::new(1e-8, 2e-6);
     let res = run_transient(&nl, &opts).expect("converges");
@@ -191,14 +179,31 @@ fn nonlinear_fast_path_reuses_workspace() {
 }
 
 #[test]
-fn reference_path_attributes_per_step_allocations() {
+fn reference_path_refactors_every_iteration_without_allocating() {
     let nl = tank();
     let mut opts = TransientOptions::new(5e-9, 2e-6);
     opts.solver = SolverPath::Reference;
     let res = run_transient(&nl, &opts).expect("converges");
     let s = res.stats();
-    assert!(s.post_warmup_allocations > 0);
+    assert_eq!(s.post_warmup_allocations, 0);
     assert_eq!(s.factor_reuses, 0);
+    assert_eq!(s.factorizations, s.newton_iterations);
+}
+
+#[test]
+fn adaptive_reference_is_bit_identical_to_adaptive_auto() {
+    let nl = driven_rlc();
+    let opts = TransientOptions::new(2e-9, 4e-6).with_adaptive_lte(1e-4);
+    let (fast, reference) = run_both(&nl, &opts);
+    assert_bit_identical(&fast, &reference, "adaptive driven RLC");
+    assert!(fast.stats().used_linear_fast_path);
+    // The reference path has no linear shortcut: every trial refactors.
+    let r = reference.stats();
+    assert!(!r.used_linear_fast_path);
+    assert_eq!(r.factor_reuses, 0);
+    assert_eq!(r.factorizations, r.newton_iterations);
+    assert_eq!(r.steps_accepted, fast.stats().steps_accepted);
+    assert_eq!(r.steps_rejected, fast.stats().steps_rejected);
 }
 
 #[test]

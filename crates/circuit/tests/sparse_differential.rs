@@ -26,12 +26,6 @@ fn bits_equal(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-/// Whether `LCOSC_SOLVER` is overriding path selection, which would make
-/// the `opts.solver`-based forcing in this suite meaningless.
-fn hatch_forced() -> bool {
-    std::env::var_os("LCOSC_SOLVER").is_some()
-}
-
 fn assert_bits_identical(a: &TransientResult, b: &TransientResult, label: &str) {
     assert!(bits_equal(a.times(), b.times()), "{label}: times diverged");
     assert!(
@@ -88,9 +82,6 @@ fn decks() -> Vec<(&'static str, Netlist, TransientOptions)> {
 
 #[test]
 fn sparse_agrees_with_dense_within_tolerance_on_all_decks() {
-    if hatch_forced() {
-        return;
-    }
     for (label, nl, opts) in decks() {
         for integrator in [Integrator::BackwardEuler, Integrator::Trapezoidal] {
             let mut o = opts;
@@ -106,9 +97,6 @@ fn sparse_agrees_with_dense_within_tolerance_on_all_decks() {
 
 #[test]
 fn sparse_results_are_bit_identical_across_repeat_runs() {
-    if hatch_forced() {
-        return;
-    }
     for (label, nl, opts) in decks() {
         let first = run_with(&nl, &opts, SolverPath::Sparse);
         for _ in 0..2 {
@@ -120,9 +108,6 @@ fn sparse_results_are_bit_identical_across_repeat_runs() {
 
 #[test]
 fn auto_matches_forced_sparse_bit_for_bit_above_threshold() {
-    if hatch_forced() {
-        return;
-    }
     let nl = rc_ladder(SPARSE_MIN_UNKNOWNS); // unknowns = sections + 2
     assert!(nl.unknown_count() >= SPARSE_MIN_UNKNOWNS);
     let opts = TransientOptions::new(2e-9, 200e-9);
@@ -134,9 +119,6 @@ fn auto_matches_forced_sparse_bit_for_bit_above_threshold() {
 
 #[test]
 fn auto_stays_dense_below_threshold_and_matches_dense_exactly() {
-    if hatch_forced() {
-        return;
-    }
     let nl = rc_ladder(8);
     assert!(nl.unknown_count() < SPARSE_MIN_UNKNOWNS);
     let opts = TransientOptions::new(2e-9, 200e-9);
@@ -148,9 +130,6 @@ fn auto_stays_dense_below_threshold_and_matches_dense_exactly() {
 
 #[test]
 fn sparse_counters_prove_symbolic_and_numeric_reuse() {
-    if hatch_forced() {
-        return;
-    }
     let nl = coupled_tank_network(80);
     let opts = TransientOptions::new(20e-9, 4e-6);
     let res = run_with(&nl, &opts, SolverPath::Sparse);
@@ -166,4 +145,27 @@ fn sparse_counters_prove_symbolic_and_numeric_reuse() {
     let again = run_with(&nl, &opts, SolverPath::Sparse);
     assert_eq!(again.stats().symbolic_analyses, 0);
     assert_eq!(again.stats().symbolic_reuses, 1);
+}
+
+#[test]
+fn adaptive_stepping_honors_the_sparse_path() {
+    let nl = rc_ladder(200);
+    let opts = TransientOptions::new(10e-9, 1e-6).with_adaptive_lte(1e-3);
+    let dense = run_with(&nl, &opts, SolverPath::Dense);
+    let sparse = run_with(&nl, &opts, SolverPath::Sparse);
+    let s = sparse.stats();
+    assert!(s.used_sparse_path, "adaptive run ignored the sparse path");
+    assert!(!dense.stats().used_sparse_path);
+    // Both integrator members factor on the one cached symbolic analysis.
+    assert_eq!(s.symbolic_analyses + s.symbolic_reuses, 1);
+    assert!(s.steps_accepted > 0);
+    assert_eq!(dense.len(), sparse.len());
+    for (x, y) in sparse
+        .voltages_flat()
+        .iter()
+        .chain(sparse.currents_flat())
+        .zip(dense.voltages_flat().iter().chain(dense.currents_flat()))
+    {
+        assert!((x - y).abs() <= 1e-9, "sparse {x} vs dense {y}");
+    }
 }

@@ -129,9 +129,8 @@ pub fn run_scenario_with_trace(
 ) -> Result<ScenarioResult> {
     // Multi-rate by default: envelope fidelity between events, cycle
     // fidelity inside guard windows around fault injection, detector
-    // threshold crossings and segment-boundary code steps. The
-    // `LCOSC_FIDELITY` hatch (resolved inside the sim constructor) pins
-    // the run to a single fidelity for divergence triage.
+    // threshold crossings and segment-boundary code steps.
+    // `run_scenario_mission` pins another fidelity explicitly.
     run_scenario_mission(
         fault,
         base,
@@ -142,11 +141,10 @@ pub fn run_scenario_with_trace(
 }
 
 /// The fully explicit scenario runner: `fidelity` selects the simulation
-/// engine (the `LCOSC_FIDELITY` hatch still wins, as everywhere) and
-/// `post_fault_ticks` sets the observation horizon after the injection —
-/// the multi-rate benchmark stretches it into a long mission profile and
-/// runs the same fault once per fidelity to compare wall-clock at pinned
-/// discrete outcomes.
+/// engine and `post_fault_ticks` sets the observation horizon after the
+/// injection — the multi-rate benchmark stretches it into a long mission
+/// profile and runs the same fault once per fidelity to compare wall-clock
+/// at pinned discrete outcomes.
 ///
 /// # Errors
 ///

@@ -28,7 +28,10 @@ fn fixture_dir() -> PathBuf {
 
 fn golden(name: &str, rendered: &str) {
     let path = fixture_dir().join(name);
-    if std::env::var_os("LCOSC_BLESS").is_some_and(|v| v == "1") {
+    // The workspace's one sanctioned environment read (see clippy.toml).
+    #[allow(clippy::disallowed_methods)]
+    let bless = std::env::var_os("LCOSC_BLESS").is_some_and(|v| v == "1");
+    if bless {
         std::fs::write(&path, rendered).expect("write fixture");
         return;
     }

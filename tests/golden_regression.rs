@@ -24,7 +24,10 @@ fn golden(name: &str, rendered: &str) {
     let path: PathBuf = [env!("CARGO_MANIFEST_DIR"), "tests", "golden", name]
         .iter()
         .collect();
-    if std::env::var_os("LCOSC_BLESS").is_some_and(|v| v == "1") {
+    // The workspace's one sanctioned environment read (see clippy.toml).
+    #[allow(clippy::disallowed_methods)]
+    let bless = std::env::var_os("LCOSC_BLESS").is_some_and(|v| v == "1");
+    if bless {
         std::fs::create_dir_all(path.parent().expect("fixture dir")).expect("mkdir golden");
         std::fs::write(&path, rendered).expect("write fixture");
         return;
