@@ -467,12 +467,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             );
         }
         println!(
-            "multirate hand-off: {} switches, {} envelope / {} cycle ticks ({:.1} % envelope), {} bisection(s)",
+            "multirate hand-off: {} switches, {} envelope / {} cycle ticks ({:.1} % envelope), {} bisection(s), {} cycle_steps",
             report.mode_stats.mode_switches,
             report.mode_stats.envelope_ticks,
             report.mode_stats.cycle_ticks,
             report.mode_stats.envelope_permille() as f64 / 10.0,
             report.mode_stats.bisections,
+            report.mode_stats.cycle_steps,
         );
         println!(
             "multirate catalog: cycle {:.2} s vs multi-rate {:.2} s ({:.2}x, informational)",

@@ -205,6 +205,7 @@ impl MultirateBenchReport {
                     ("envelope_ticks", int(self.mode_stats.envelope_ticks)),
                     ("cycle_ticks", int(self.mode_stats.cycle_ticks)),
                     ("bisections", int(self.mode_stats.bisections)),
+                    ("cycle_steps", int(self.mode_stats.cycle_steps)),
                     (
                         "envelope_permille",
                         int(self.mode_stats.envelope_permille()),
@@ -426,6 +427,7 @@ mod tests {
             "catalog_speedup",
             "outcomes_identical",
             "envelope_permille",
+            "cycle_steps",
             "trip_latency_ticks",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");

@@ -88,6 +88,8 @@ pub struct ModeStats {
     pub cycle_ticks: u64,
     /// Mid-tick event localizations performed by bisection.
     pub bisections: u64,
+    /// RK4 steps executed inside cycle-fidelity spans.
+    pub cycle_steps: u64,
 }
 
 impl ModeStats {
@@ -181,6 +183,11 @@ impl MultiRateController {
     /// Records one mid-tick event localization.
     pub fn note_bisection(&mut self) {
         self.stats.bisections += 1;
+    }
+
+    /// Records `steps` RK4 steps executed in a cycle-fidelity span.
+    pub fn note_cycle_steps(&mut self, steps: u64) {
+        self.stats.cycle_steps += steps;
     }
 
     /// Closes a regulation tick. `agree` is the envelope-shadow /

@@ -133,9 +133,9 @@ impl OscillatorModel {
     }
 
     /// Advances the state by one RK4 step of size `dt`.
-    pub fn step(&self, state: &mut OscillatorState, dt: f64, scratch: &mut [f64]) {
+    pub fn step(&self, state: &mut OscillatorState, dt: f64) {
         let mut x = [state.v1, state.v2, state.il];
-        rk4_step(self, 0.0, dt, &mut x, scratch);
+        rk4_step(self, 0.0, dt, &mut x);
         state.v1 = x[0];
         state.v2 = x[1];
         state.il = x[2];
@@ -163,10 +163,9 @@ impl OscillatorModel {
             v2: Vec::with_capacity(steps / stride + 1),
             il: Vec::with_capacity(steps / stride + 1),
         };
-        let mut scratch = vec![0.0; 15];
         wf.push(&state);
         for k in 1..=steps {
-            self.step(&mut state, dt, &mut scratch);
+            self.step(&mut state, dt);
             if k % stride == 0 {
                 wf.push(&state);
             }
@@ -192,6 +191,7 @@ impl OdeSystem for OscillatorModel {
         3
     }
 
+    #[inline]
     fn derivatives(&self, _t: f64, x: &[f64], dx: &mut [f64]) {
         let state = OscillatorState {
             v1: x[0],
@@ -412,6 +412,34 @@ mod tests {
         // Q = 10: envelope decays as exp(−π f t / Q): 60 cycles ≈ 6·10⁻⁹·...
         // 60 cycles -> exp(−π·60/10) ≈ 6·10⁻⁹ of the initial 1.0.
         assert!(late < 1e-3, "ring-down amplitude {late}");
+    }
+
+    /// Pins the exact bits of the RK4 kernel on the stiffest FMEA tank
+    /// (missing Cosc1: C1 = 20 pF on `fast_test`), so any change to the
+    /// order of the RK4 arithmetic fails here rather than in the FMEA
+    /// golden.
+    #[test]
+    fn missing_cosc1_step_bits_are_stable() {
+        let cfg = crate::config::OscillatorConfig::fast_test();
+        let nominal = cfg.tank;
+        let tank = LcTank::new(
+            nominal.l(),
+            lcosc_num::units::Farads(20e-12),
+            nominal.c2(),
+            nominal.rs(),
+        )
+        .unwrap();
+        let model = OscillatorModel::new(tank, test_driver(1e-3), cfg.vref).with_rails(cfg.vdd);
+        let mut state = OscillatorState::at_rest(cfg.vref);
+        state.v1 += 0.1;
+        state.v2 -= 0.1;
+        let dt = cfg.dt();
+        for _ in 0..10_000 {
+            model.step(&mut state, dt);
+        }
+        assert_eq!(state.v1.to_bits(), 0x3fed_33c6_48c9_84bf, "v1 {}", state.v1);
+        assert_eq!(state.v2.to_bits(), 0x3ffa_551d_2c3a_ebf5, "v2 {}", state.v2);
+        assert_eq!(state.il.to_bits(), 0x3f4d_3821_ee21_8156, "il {}", state.il);
     }
 
     #[test]

@@ -138,7 +138,6 @@ pub struct ClosedLoopSim {
     trace: SimTrace,
     /// Cycle mode: record every n-th ODE sample into the waveform.
     record_stride: usize,
-    scratch: Vec<f64>,
     noise_rng: StdRng,
     tracer: Trace,
     regulating_logged: bool,
@@ -230,7 +229,6 @@ impl ClosedLoopSim {
             driver_dead: false,
             trace: SimTrace::default(),
             record_stride: (cfg.steps_per_period / 8).max(1),
-            scratch: vec![0.0; 15],
             noise_rng: StdRng::seed_from_u64(cfg.noise_seed),
             tracer: Trace::off(),
             regulating_logged: false,
@@ -490,7 +488,7 @@ impl ClosedLoopSim {
                 let mut k = 0usize;
                 while self.t < tick_end {
                     self.advance_startup(self.t + dt);
-                    self.model.step(&mut self.state, dt, &mut self.scratch);
+                    self.model.step(&mut self.state, dt);
                     window = self.detector.update(self.state.v1, self.state.v2);
                     self.t += dt;
                     if k.is_multiple_of(self.record_stride) {
@@ -712,14 +710,17 @@ impl ClosedLoopSim {
         }
         let entry_class = window;
         let mut changed = false;
+        let mut steps = 0;
         let dt = self.cfg.dt();
         while self.t < t_end {
             self.advance_startup(self.t + dt);
-            self.model.step(&mut self.state, dt, &mut self.scratch);
+            self.model.step(&mut self.state, dt);
             window = self.detector.update(self.state.v1, self.state.v2);
             self.t += dt;
+            steps += 1;
             changed |= window != entry_class;
         }
+        self.rate.note_cycle_steps(steps);
         self.amp = self.envelope.step(self.amp, span);
         (window, changed)
     }
@@ -1128,6 +1129,33 @@ mod tests {
     }
 
     #[test]
+    fn cycle_steps_count_the_rk4_steps_of_cycle_spans() {
+        let mut sim = ClosedLoopSim::new(multirate_cfg()).unwrap();
+        let per_tick = sim.config().tick_period / sim.config().dt();
+        let (lo, hi) = (per_tick.floor() as u64, per_tick.ceil() as u64 + 1);
+        let (mut envelope_ticks, mut full_cycle_ticks) = (0, 0);
+        for k in 0..60 {
+            if k == 40 {
+                sim.inject_driver_failure();
+            }
+            let before = sim.mode_stats();
+            sim.run_ticks(1);
+            let after = sim.mode_stats();
+            let added = after.cycle_steps - before.cycle_steps;
+            if after.cycle_ticks == before.cycle_ticks {
+                assert_eq!(added, 0, "envelope tick {k}");
+                envelope_ticks += 1;
+            } else if before.mode_switches % 2 == 1 {
+                // An odd switch count leaves the controller in cycle
+                // mode, so the whole tick runs cycle-accurately.
+                assert!((lo..=hi).contains(&added), "tick {k}: {added}");
+                full_cycle_ticks += 1;
+            }
+        }
+        assert!(envelope_ticks > 0 && full_cycle_ticks > 0);
+    }
+
+    #[test]
     fn multirate_fault_collapse_matches_cycle_saturation_tick() {
         let mut mr = ClosedLoopSim::new(multirate_cfg()).unwrap();
         let mut cyc = ClosedLoopSim::new(cycle_cfg()).unwrap();
@@ -1149,9 +1177,11 @@ mod tests {
 
     #[test]
     fn single_fidelity_modes_report_zero_mode_stats() {
-        let mut sim = ClosedLoopSim::new(OscillatorConfig::fast_test()).unwrap();
-        sim.run_ticks(20);
-        assert_eq!(sim.mode_stats(), crate::multirate::ModeStats::default());
+        for cfg in [OscillatorConfig::fast_test(), cycle_cfg()] {
+            let mut sim = ClosedLoopSim::new(cfg).unwrap();
+            sim.run_ticks(20);
+            assert_eq!(sim.mode_stats(), crate::multirate::ModeStats::default());
+        }
     }
 
     #[test]

@@ -25,8 +25,7 @@
 //! }
 //!
 //! let mut x = [1.0];
-//! let mut scratch = vec![0.0; 5 * 1];
-//! rk4_step(&Decay, 0.0, 1e-3, &mut x, &mut scratch);
+//! rk4_step(&Decay, 0.0, 1e-3, &mut x);
 //! assert!((x[0] - (-1e-3f64).exp()).abs() < 1e-12);
 //! ```
 
@@ -46,9 +45,7 @@ pub use fft::{dominant_frequency, power_spectrum, Complex};
 pub use filter::{Biquad, EnvelopeFollower, MovingRms, OnePoleLowPass};
 pub use interp::PwlTable;
 pub use linalg::{pivot_is_singular, Matrix, SINGULAR_PIVOT_THRESHOLD};
-pub use ode::{
-    rk4_step, rkf45_adaptive, trapezoidal_step, OdeSystem, StepController, StepDecision,
-};
+pub use ode::{rk4_step, rkf45_adaptive, OdeSystem, StepController, StepDecision};
 pub use roots::{bisect, brent, newton};
 pub use sparse::{SparseLu, SparseMatrix, SparseSymbolic};
 pub use units::{Amps, Farads, Henries, Hertz, Ohms, Seconds, Volts};

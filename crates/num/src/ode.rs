@@ -21,42 +21,39 @@ pub trait OdeSystem {
 
 /// Performs one classic fourth-order Runge–Kutta step of size `dt` in place.
 ///
-/// `scratch` must have length `5 * sys.dim()` and is used to avoid per-step
-/// allocation in hot loops.
+/// The stage derivatives and the stage state live on the stack.
+///
+/// The arithmetic is a bit-exact contract: every component is computed as
+/// `x + 0.5 * dt * k1`, `x + 0.5 * dt * k2`, `x + dt * k3` and finally
+/// `x += dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)`, in that order,
+/// without fused multiply-add or reciprocal rewriting. Golden FMEA results
+/// depend on these exact bits.
 ///
 /// # Panics
 ///
-/// Panics if `x.len() != sys.dim()` or `scratch` is too small.
-pub fn rk4_step<S: OdeSystem + ?Sized>(
-    sys: &S,
-    t: f64,
-    dt: f64,
-    x: &mut [f64],
-    scratch: &mut [f64],
-) {
-    let n = sys.dim();
-    assert_eq!(x.len(), n, "state length mismatch");
-    assert!(scratch.len() >= 5 * n, "scratch must hold 5*dim values");
-    let (k1, rest) = scratch.split_at_mut(n);
-    let (k2, rest) = rest.split_at_mut(n);
-    let (k3, rest) = rest.split_at_mut(n);
-    let (k4, xt) = rest.split_at_mut(n);
-    let xt = &mut xt[..n];
+/// Panics if `sys.dim() != N`.
+pub fn rk4_step<S: OdeSystem + ?Sized, const N: usize>(sys: &S, t: f64, dt: f64, x: &mut [f64; N]) {
+    assert_eq!(sys.dim(), N, "state length mismatch");
+    let mut k1 = [0.0; N];
+    let mut k2 = [0.0; N];
+    let mut k3 = [0.0; N];
+    let mut k4 = [0.0; N];
+    let mut xt = [0.0; N];
 
-    sys.derivatives(t, x, k1);
-    for i in 0..n {
+    sys.derivatives(t, x, &mut k1);
+    for i in 0..N {
         xt[i] = x[i] + 0.5 * dt * k1[i];
     }
-    sys.derivatives(t + 0.5 * dt, xt, k2);
-    for i in 0..n {
+    sys.derivatives(t + 0.5 * dt, &xt, &mut k2);
+    for i in 0..N {
         xt[i] = x[i] + 0.5 * dt * k2[i];
     }
-    sys.derivatives(t + 0.5 * dt, xt, k3);
-    for i in 0..n {
+    sys.derivatives(t + 0.5 * dt, &xt, &mut k3);
+    for i in 0..N {
         xt[i] = x[i] + dt * k3[i];
     }
-    sys.derivatives(t + dt, xt, k4);
-    for i in 0..n {
+    sys.derivatives(t + dt, &xt, &mut k4);
+    for i in 0..N {
         x[i] += dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
     }
 }
@@ -422,10 +419,9 @@ mod tests {
     fn rk4_matches_exponential_decay() {
         let sys = Decay;
         let mut x = [1.0];
-        let mut scratch = vec![0.0; 5];
         let dt = 1e-2;
         for s in 0..100 {
-            rk4_step(&sys, s as f64 * dt, dt, &mut x, &mut scratch);
+            rk4_step(&sys, s as f64 * dt, dt, &mut x);
         }
         assert!((x[0] - (-1.0f64).exp()).abs() < 1e-9);
     }
@@ -434,13 +430,19 @@ mod tests {
     fn rk4_conserves_harmonic_energy_to_fourth_order() {
         let sys = Harmonic;
         let mut x = [1.0, 0.0];
-        let mut scratch = vec![0.0; 10];
         let dt = 1e-3;
         for s in 0..10_000 {
-            rk4_step(&sys, s as f64 * dt, dt, &mut x, &mut scratch);
+            rk4_step(&sys, s as f64 * dt, dt, &mut x);
         }
         let energy = x[0] * x[0] + x[1] * x[1];
         assert!((energy - 1.0).abs() < 1e-9, "energy drift {energy}");
+    }
+
+    #[test]
+    #[should_panic(expected = "state length mismatch")]
+    fn rk4_rejects_state_of_wrong_dimension() {
+        let mut x = [1.0, 0.0, 0.0];
+        rk4_step(&Harmonic, 0.0, 1e-3, &mut x);
     }
 
     #[test]
@@ -629,123 +631,5 @@ mod tests {
         assert!(frequency_from_crossings(0.0, 0.0, &samples).is_none());
         // NaN sampling period must not leak a NaN frequency either.
         assert!(frequency_from_crossings(0.0, f64::NAN, &samples).is_none());
-    }
-}
-
-/// One fixed-size implicit-trapezoidal step solved by fixed-point
-/// (functional) iteration:
-/// `x₁ = x₀ + dt/2·(f(t₀, x₀) + f(t₁, x₁))`.
-///
-/// A-stable: useful for mildly stiff systems where RK4 would need tiny
-/// steps. Functional iteration converges for `dt·L < 2` (L = Lipschitz
-/// constant); the iteration runs until the update is below `tol` or 50
-/// sweeps elapse.
-///
-/// `scratch` must hold at least `3 * sys.dim()` values.
-///
-/// # Panics
-///
-/// Panics if `x.len() != sys.dim()` or `scratch` is too small.
-pub fn trapezoidal_step<S: OdeSystem + ?Sized>(
-    sys: &S,
-    t: f64,
-    dt: f64,
-    x: &mut [f64],
-    tol: f64,
-    scratch: &mut [f64],
-) {
-    let n = sys.dim();
-    assert_eq!(x.len(), n, "state length mismatch");
-    assert!(scratch.len() >= 3 * n, "scratch must hold 3*dim values");
-    let (f0, rest) = scratch.split_at_mut(n);
-    let (f1, xn) = rest.split_at_mut(n);
-    let xn = &mut xn[..n];
-
-    sys.derivatives(t, x, f0);
-    // Predictor: explicit Euler.
-    for i in 0..n {
-        xn[i] = x[i] + dt * f0[i];
-    }
-    // Corrector sweeps.
-    for _ in 0..50 {
-        sys.derivatives(t + dt, xn, f1);
-        let mut delta = 0.0f64;
-        for i in 0..n {
-            let next = x[i] + 0.5 * dt * (f0[i] + f1[i]);
-            delta = delta.max((next - xn[i]).abs());
-            xn[i] = next;
-        }
-        if delta < tol {
-            break;
-        }
-    }
-    x.copy_from_slice(xn);
-}
-
-#[cfg(test)]
-mod trapezoidal_tests {
-    use super::*;
-
-    struct Decay;
-    impl OdeSystem for Decay {
-        fn dim(&self) -> usize {
-            1
-        }
-        fn derivatives(&self, _t: f64, x: &[f64], dx: &mut [f64]) {
-            dx[0] = -x[0];
-        }
-    }
-
-    struct Harmonic;
-    impl OdeSystem for Harmonic {
-        fn dim(&self) -> usize {
-            2
-        }
-        fn derivatives(&self, _t: f64, x: &[f64], dx: &mut [f64]) {
-            dx[0] = x[1];
-            dx[1] = -x[0];
-        }
-    }
-
-    #[test]
-    fn trapezoidal_matches_decay() {
-        let mut x = [1.0];
-        let mut scratch = vec![0.0; 3];
-        let dt = 1e-2;
-        for s in 0..100 {
-            trapezoidal_step(&Decay, s as f64 * dt, dt, &mut x, 1e-14, &mut scratch);
-        }
-        assert!((x[0] - (-1.0f64).exp()).abs() < 1e-5, "{}", x[0]);
-    }
-
-    #[test]
-    fn trapezoidal_conserves_harmonic_energy() {
-        // The trapezoidal rule is symplectic-adjacent for linear
-        // oscillators: energy stays bounded (no secular drift).
-        let mut x = [1.0, 0.0];
-        let mut scratch = vec![0.0; 6];
-        let dt = 0.05;
-        for s in 0..20_000 {
-            trapezoidal_step(&Harmonic, s as f64 * dt, dt, &mut x, 1e-13, &mut scratch);
-        }
-        let energy = x[0] * x[0] + x[1] * x[1];
-        assert!((energy - 1.0).abs() < 1e-6, "energy {energy}");
-    }
-
-    #[test]
-    fn trapezoidal_is_second_order() {
-        let run = |dt: f64| {
-            let mut x = [1.0];
-            let mut scratch = vec![0.0; 3];
-            let steps = (1.0 / dt) as usize;
-            for s in 0..steps {
-                trapezoidal_step(&Decay, s as f64 * dt, dt, &mut x, 1e-15, &mut scratch);
-            }
-            (x[0] - (-1.0f64).exp()).abs()
-        };
-        let e1 = run(1e-2);
-        let e2 = run(5e-3);
-        let order = (e1 / e2).log2();
-        assert!((order - 2.0).abs() < 0.2, "observed order {order}");
     }
 }

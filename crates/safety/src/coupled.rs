@@ -111,11 +111,10 @@ impl CoupledOscillators {
         let a0 = OscillatorState::at_rest(self.vref_a);
         let b0 = OscillatorState::at_rest(self.vref_b);
         let mut x = [a0.v1, a0.v2, a0.il, b0.v1, b0.v2, b0.il];
-        let mut scratch = vec![0.0; 5 * 6];
         let mut vd_a = Vec::with_capacity(steps);
         let mut vd_b = Vec::with_capacity(steps);
         for k in 0..steps {
-            rk4_step(self, k as f64 * dt, dt, &mut x, &mut scratch);
+            rk4_step(self, k as f64 * dt, dt, &mut x);
             vd_a.push(x[0] - x[1]);
             vd_b.push(x[3] - x[4]);
         }
