@@ -14,8 +14,14 @@
 //! (the serving layer's request protocol) and round-trips the renderer —
 //! `parse(render(v)) == v` for every finite tree, which
 //! `crates/campaign/tests/json_roundtrip.rs` pins as a property.
-//! [`Json::canonicalize`] produces the ordered-key form the serving
-//! layer's content-addressed result cache hashes.
+//!
+//! [`Json::write_canonical`] streams the sorted-key compact form the
+//! serving layer's content-addressed result cache hashes. It writes
+//! straight from the borrowed tree — no canonical copy is built — sorting
+//! each object's members by key (bytewise) and keeping only the **first**
+//! occurrence of a duplicated key, the same member [`Json::get`] returns.
+//! Every request reader goes through [`Json::get`], so a cache key always
+//! describes the fields the request actually runs with.
 
 use std::fmt::Write as _;
 
@@ -60,6 +66,62 @@ impl Json {
         out
     }
 
+    /// The canonical form rendered compactly: see [`Json::write_canonical`].
+    pub fn render_canonical(&self) -> String {
+        let mut out = String::new();
+        self.write_canonical(&mut out, None);
+        out
+    }
+
+    /// Appends the canonical form of this value to `out`: compact, every
+    /// object's members sorted by key (bytewise ascending, stable) with
+    /// only the first occurrence of a duplicated key kept, recursively.
+    /// `omit` names a member of the top-level object to leave out (the
+    /// serve layer drops the client-chosen `"id"`); nested members of that
+    /// name are kept.
+    ///
+    /// Two values that differ only in member order or in later duplicates
+    /// of a key write the same bytes, and the output is a fixed point:
+    /// parsing it and writing the canonical form again reproduces it.
+    pub fn write_canonical(&self, out: &mut String, omit: Option<&str>) {
+        match self {
+            Json::Array(items) => {
+                out.push('[');
+                for (k, item) in items.iter().enumerate() {
+                    if k > 0 {
+                        out.push(',');
+                    }
+                    item.write_canonical(out, None);
+                }
+                out.push(']');
+            }
+            Json::Object(pairs) => {
+                let mut members: Vec<&(String, Json)> = pairs
+                    .iter()
+                    .filter(|(k, _)| omit != Some(k.as_str()))
+                    .collect();
+                // Stable: among equal keys the first occurrence leads.
+                members.sort_by(|a, b| a.0.cmp(&b.0));
+                out.push('{');
+                let mut previous: Option<&str> = None;
+                for (key, value) in members {
+                    if previous == Some(key.as_str()) {
+                        continue;
+                    }
+                    if previous.is_some() {
+                        out.push(',');
+                    }
+                    previous = Some(key);
+                    write_escaped(out, key);
+                    out.push(':');
+                    value.write_canonical(out, None);
+                }
+                out.push('}');
+            }
+            scalar => scalar.write(out, None, 0),
+        }
+    }
+
     fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
         let pad = |out: &mut String, level: usize| {
             if let Some(w) = indent {
@@ -82,11 +144,7 @@ impl Json {
                     out.push_str("null");
                 }
             }
-            Json::Str(s) => {
-                out.push('"');
-                out.push_str(&escape(s));
-                out.push('"');
-            }
+            Json::Str(s) => write_escaped(out, s),
             Json::Array(items) => {
                 out.push('[');
                 for (k, item) in items.iter().enumerate() {
@@ -108,9 +166,8 @@ impl Json {
                         out.push(',');
                     }
                     pad(out, depth + 1);
-                    out.push('"');
-                    out.push_str(&escape(key));
-                    out.push_str(if indent.is_some() { "\": " } else { "\":" });
+                    write_escaped(out, key);
+                    out.push_str(if indent.is_some() { ": " } else { ":" });
                     value.write(out, indent, depth + 1);
                 }
                 if !pairs.is_empty() {
@@ -165,6 +222,7 @@ impl Json {
     /// [`MAX_PARSE_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, JsonParseError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -175,33 +233,6 @@ impl Json {
             return Err(p.err("trailing characters after the document"));
         }
         Ok(v)
-    }
-
-    /// The canonical form of this value: every object's keys sorted
-    /// (bytewise ascending, later duplicates dropped), recursively.
-    ///
-    /// Rendering the canonical form compactly gives the cache key string
-    /// the serving layer hashes: two requests that differ only in key
-    /// order or duplicate keys address the same cache entry.
-    #[must_use]
-    pub fn canonicalize(&self) -> Json {
-        match self {
-            Json::Array(items) => Json::Array(items.iter().map(Json::canonicalize).collect()),
-            Json::Object(pairs) => {
-                let mut sorted: Vec<(String, Json)> = Vec::with_capacity(pairs.len());
-                for (k, v) in pairs {
-                    let canon = v.canonicalize();
-                    match sorted.binary_search_by(|(sk, _)| sk.as_str().cmp(k)) {
-                        // Later duplicates win, matching the common
-                        // last-key-wins object semantics.
-                        Ok(i) => sorted[i].1 = canon,
-                        Err(i) => sorted.insert(i, (k.clone(), canon)),
-                    }
-                }
-                Json::Object(sorted)
-            }
-            other => other.clone(),
-        }
     }
 
     /// Looks up a key in an object (first occurrence). `None` when the
@@ -241,6 +272,7 @@ impl Json {
 
 /// Recursive-descent parser state over the input bytes.
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -402,16 +434,17 @@ impl Parser<'_> {
                     return Err(self.err("unescaped control character in string"))
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so the
-                    // boundaries are already valid).
+                    // Copy the whole run up to the next quote, backslash or
+                    // control byte. Those are ASCII, so the run ends on a
+                    // char boundary of the `&str` input.
                     let start = self.pos;
-                    self.pos += 1;
-                    while self.peek().is_some_and(|b| (b & 0xc0) == 0x80) {
+                    while self
+                        .peek()
+                        .is_some_and(|b| b != b'"' && b != b'\\' && b >= 0x20)
+                    {
                         self.pos += 1;
                     }
-                    let chunk = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.err("invalid utf-8 in string"))?;
-                    out.push_str(chunk);
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -532,23 +565,33 @@ impl<T: Into<Json>> From<Option<T>> for Json {
     }
 }
 
-/// Escapes a string per RFC 8259.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Appends `s` to `out` as a quoted JSON string literal, escaped per
+/// RFC 8259: `"` and `\\` backslash-escaped, `\n` `\r` `\t` by name, the
+/// other control characters below U+0020 as `\u00xx`, everything else
+/// verbatim. Runs of bytes that need no escape are copied in one piece.
+pub fn write_escaped(out: &mut String, s: &str) {
+    out.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0x00..=0x1f) {
+            continue;
         }
+        // `b` is ASCII, so `run..i` and `i + 1..` fall on char boundaries.
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
     }
-    out
+    out.push_str(&s[run..]);
+    out.push('"');
 }
 
 #[cfg(test)]
@@ -681,6 +724,26 @@ mod tests {
     }
 
     #[test]
+    fn string_errors_point_at_the_offending_byte() {
+        for (text, offset, message) in [
+            ("\"ab\u{1}cd\"", 3, "unescaped control character in string"),
+            ("\"héllo", 7, "unterminated string"),
+            ("\"héllo\\q\"", 9, "invalid escape \\q"),
+            ("\"é\\", 4, "unterminated escape"),
+            ("\"x\\ud83d\"", 8, "unpaired high surrogate"),
+            ("\"x\\ud83d\\u0041\"", 14, "invalid low surrogate"),
+            ("\"λ\\u12g4\"", 7, "expected 4 hex digits after \\u"),
+        ] {
+            let e = Json::parse(text).unwrap_err();
+            assert_eq!(
+                (e.offset, e.message.as_str()),
+                (offset, message),
+                "{text:?}"
+            );
+        }
+    }
+
+    #[test]
     fn parse_enforces_depth_cap() {
         let deep = "[".repeat(MAX_PARSE_DEPTH + 2) + &"]".repeat(MAX_PARSE_DEPTH + 2);
         let e = Json::parse(&deep).unwrap_err();
@@ -712,9 +775,28 @@ mod tests {
     #[test]
     fn canonicalize_sorts_keys_recursively_and_dedups() {
         let v = Json::parse(r#"{"z":{"b":1,"a":2},"a":[{"y":0,"x":1}],"z":3}"#).unwrap();
-        assert_eq!(v.canonicalize().render(), r#"{"a":[{"x":1,"y":0}],"z":3}"#);
+        // The first "z" is kept: it is the member `get("z")` reads.
+        let canonical = v.render_canonical();
+        assert_eq!(canonical, r#"{"a":[{"x":1,"y":0}],"z":{"a":2,"b":1}}"#);
+        assert_eq!(
+            v.get("z"),
+            Some(&Json::obj([("b", 1i64.into()), ("a", 2i64.into())]))
+        );
         // Canonicalization is idempotent.
-        assert_eq!(v.canonicalize().canonicalize(), v.canonicalize());
+        assert_eq!(
+            Json::parse(&canonical).unwrap().render_canonical(),
+            canonical
+        );
+    }
+
+    #[test]
+    fn escaped_strings_append_in_place() {
+        let mut out = String::from("x=");
+        write_escaped(&mut out, "a\tb\nc\"d\\e");
+        assert_eq!(out, "x=\"a\\tb\\nc\\\"d\\\\e\"");
+        out.clear();
+        write_escaped(&mut out, "\u{1}\u{1f}é\u{7f}");
+        assert_eq!(out, "\"\\u0001\\u001fé\u{7f}\"");
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Round-trip property tests for the JSON parser against the byte-stable
 //! renderer: `parse(render(v)) == v` for every tree with finite floats,
-//! including the RFC 8259 escape corpus the renderer's unit tests pin.
+//! including the RFC 8259 escape corpus the renderer's unit tests pin —
+//! and for the streamed canonical writer against a tree-building
+//! reference, on trees with duplicate keys at every level.
 
 use lcosc_campaign::Json;
 use proptest::prelude::*;
@@ -83,6 +85,57 @@ fn string_from_seed(z: u64) -> String {
     s
 }
 
+/// Appends to every non-empty object a second member under its first key,
+/// with a different value, recursively — so canonicalization has a
+/// duplicate to drop at every level.
+fn with_duplicate_keys(v: Json, seed: u64) -> Json {
+    match v {
+        Json::Array(items) => Json::Array(
+            items
+                .into_iter()
+                .enumerate()
+                .map(|(i, item)| with_duplicate_keys(item, seed ^ (i as u64 + 1)))
+                .collect(),
+        ),
+        Json::Object(pairs) => {
+            let mut pairs: Vec<(String, Json)> = pairs
+                .into_iter()
+                .enumerate()
+                .map(|(i, (k, item))| (k, with_duplicate_keys(item, seed ^ (i as u64 + 1))))
+                .collect();
+            if let Some((key, first)) = pairs.first().cloned() {
+                let mut other = tree_from_seed(seed.rotate_left(17), 1);
+                if other == first {
+                    other = Json::Array(vec![other]);
+                }
+                pairs.push((key, other));
+            }
+            Json::Object(pairs)
+        }
+        scalar => scalar,
+    }
+}
+
+/// The canonical form built the slow, obvious way: keep each key's first
+/// occurrence, stable-sort by key, recurse; rendering it compactly is what
+/// `Json::write_canonical` must stream.
+fn reference_canonical(v: &Json) -> Json {
+    match v {
+        Json::Array(items) => Json::Array(items.iter().map(reference_canonical).collect()),
+        Json::Object(pairs) => {
+            let mut kept: Vec<(String, Json)> = Vec::new();
+            for (k, item) in pairs {
+                if !kept.iter().any(|(seen, _)| seen == k) {
+                    kept.push((k.clone(), reference_canonical(item)));
+                }
+            }
+            kept.sort_by(|a, b| a.0.cmp(&b.0));
+            Json::Object(kept)
+        }
+        scalar => scalar.clone(),
+    }
+}
+
 proptest! {
     #[test]
     fn parse_inverts_render(seed in 0u64..u64::MAX) {
@@ -104,11 +157,37 @@ proptest! {
     }
 
     #[test]
-    fn canonicalize_is_stable_under_round_trip(seed in 0u64..u64::MAX) {
-        let v = tree_from_seed(seed, 3);
-        let canon = v.canonicalize();
-        let round = Json::parse(&canon.render()).unwrap();
-        prop_assert_eq!(round.canonicalize().render(), canon.render());
+    fn streamed_canonical_form_matches_the_reference(seed in 0u64..u64::MAX) {
+        let v = with_duplicate_keys(tree_from_seed(seed, 3), seed);
+        prop_assert_eq!(v.render_canonical(), reference_canonical(&v).render());
+    }
+
+    #[test]
+    fn canonical_form_is_stable_under_round_trip(seed in 0u64..u64::MAX) {
+        let v = with_duplicate_keys(tree_from_seed(seed, 3), seed);
+        let canon = v.render_canonical();
+        let round = Json::parse(&canon).unwrap();
+        prop_assert_eq!(round.render_canonical(), canon);
+    }
+
+    #[test]
+    fn omitted_member_is_dropped_only_at_the_top_level(seed in 0u64..u64::MAX) {
+        let inner = tree_from_seed(seed, 3);
+        let v = with_duplicate_keys(
+            Json::Object(vec![
+                ("id".to_string(), inner.clone()),
+                ("body".to_string(), Json::Array(vec![Json::obj([("id", Json::Int(1))]), inner])),
+                ("id".to_string(), Json::Null),
+            ]),
+            seed,
+        );
+        let Json::Object(pairs) = &v else {
+            unreachable!("built as an object")
+        };
+        let stripped = Json::Object(pairs.iter().filter(|(k, _)| k != "id").cloned().collect());
+        let mut out = String::new();
+        v.write_canonical(&mut out, Some("id"));
+        prop_assert_eq!(out, reference_canonical(&stripped).render());
     }
 
     #[test]

@@ -220,9 +220,11 @@ impl Report {
 
     /// Renders the report as a JSON object
     /// `{"errors": N, "warnings": N, "diagnostics": [...]}` (hand-rolled;
-    /// the workspace builds offline without serde). Diagnostics are
-    /// sorted by (code, provenance) for byte-stable output.
+    /// the workspace builds offline without serde; strings are escaped by
+    /// the campaign JSON writer). Diagnostics are sorted by (code,
+    /// provenance) for byte-stable output.
     pub fn render_json(&self) -> String {
+        use lcosc_campaign::json::write_escaped;
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = write!(
@@ -237,38 +239,19 @@ impl Report {
             }
             let _ = write!(
                 out,
-                "{{\"code\":\"{}\",\"severity\":\"{}\",\"message\":\"{}\"",
-                d.code,
-                d.severity,
-                escape_json(&d.message)
+                "{{\"code\":\"{}\",\"severity\":\"{}\",\"message\":",
+                d.code, d.severity
             );
+            write_escaped(&mut out, &d.message);
             if let Some(p) = &d.provenance {
-                let _ = write!(out, ",\"provenance\":\"{}\"", escape_json(&p.to_string()));
+                out.push_str(",\"provenance\":");
+                write_escaped(&mut out, &p.to_string());
             }
             out.push('}');
         }
         out.push_str("]}");
         out
     }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// The full diagnostic-code registry: `(code, one-line description)`.
@@ -453,12 +436,6 @@ mod tests {
         let open = json.matches('{').count();
         let close = json.matches('}').count();
         assert_eq!(open, close);
-    }
-
-    #[test]
-    fn json_escapes_control_characters() {
-        assert_eq!(escape_json("a\tb\nc\"d\\e"), "a\\tb\\nc\\\"d\\\\e");
-        assert_eq!(escape_json("\u{1}"), "\\u0001");
     }
 
     #[test]

@@ -99,8 +99,8 @@ proptest! {
         let rendered = outcome.render_json();
         let parsed = Json::parse(&rendered).expect("verdict renders valid JSON");
         prop_assert_eq!(
-            parsed.canonicalize().render(),
-            outcome.to_json().canonicalize().render()
+            parsed.render_canonical(),
+            outcome.to_json().render_canonical()
         );
         // The verdict is a pure function of the facts.
         prop_assert_eq!(rendered, prove(&facts).render_json());

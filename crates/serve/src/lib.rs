@@ -11,8 +11,9 @@
 //!   counts, cache states and arrival orders. The `"id"` field is echoed
 //!   verbatim and excluded from all determinism-relevant plumbing.
 //! - **Content-addressed caching** — requests are canonicalized
-//!   ([`protocol::canonical_key`]: drop `"id"`, sort keys, render
-//!   compactly) and hashed with [`lcosc_campaign::digest_bytes`]; a hit
+//!   ([`protocol::canonical_key`]: drop `"id"`, sort keys, keep the
+//!   first of a repeated key, write compactly straight from the parsed
+//!   request) and hashed with [`lcosc_campaign::digest_bytes`]; a hit
 //!   replays the stored payload bytes without occupying a worker slot.
 //! - **Bounded admission** — a fixed-depth queue rejects with
 //!   `overloaded` instead of buffering without limit, per-request

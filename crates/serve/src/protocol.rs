@@ -6,7 +6,8 @@
 //!
 //! - **parse**: request line → [`Request`] (typed, validated);
 //! - **canonicalize**: request object minus `"id"` → sorted-key compact
-//!   rendering, the preimage of the content-addressed cache key;
+//!   rendering, streamed from the parsed tree without copying it, the
+//!   preimage of the content-addressed cache key;
 //! - **assemble**: `(id, status, body)` → the byte-exact response line.
 //!
 //! The response for a given request is a pure function of the request
@@ -16,6 +17,7 @@
 use lcosc_campaign::Json;
 use lcosc_safety::Fault;
 use lcosc_trace::{ServeKind, ServeStatus};
+use std::borrow::Cow;
 
 /// Oscillator configuration preset a scenario or FMEA request runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -199,7 +201,8 @@ impl Request {
 /// canonicalization: the `.sp` text is parsed ([`lcosc_spice::parse_spice`]),
 /// gated through `lcosc-check`, and replaced by the JSON deck it denotes;
 /// `dt` / `t_end` fall back to the deck's `.tran` card when absent. A
-/// request without a `"spice"` member passes through unchanged.
+/// request without a `"spice"` member passes through unchanged, borrowed
+/// rather than copied.
 ///
 /// Because the rewrite happens ahead of [`canonical_key`], a spice request
 /// and its JSON-deck equivalent share one cache digest and one response
@@ -211,12 +214,12 @@ impl Request {
 /// Returns a `bad_request` message for `.sp` parse failures (with the
 /// `P0xx` code and position), `lcosc-check` rejections (`E0xx` codes),
 /// a missing analysis plan, or a request carrying both bodies.
-pub fn desugar_spice(v: &Json) -> Result<Json, String> {
+pub fn desugar_spice(v: &Json) -> Result<Cow<'_, Json>, String> {
     let Json::Object(pairs) = v else {
-        return Ok(v.clone());
+        return Ok(Cow::Borrowed(v));
     };
     let Some(Json::Str(text)) = v.get("spice") else {
-        return Ok(v.clone());
+        return Ok(Cow::Borrowed(v));
     };
     if v.get("deck").is_some() {
         return Err("request carries both \"spice\" and \"deck\" bodies".to_string());
@@ -267,7 +270,7 @@ pub fn desugar_spice(v: &Json) -> Result<Json, String> {
             }
         }
     }
-    Ok(Json::Object(rewritten))
+    Ok(Cow::Owned(Json::Object(rewritten)))
 }
 
 fn f64_field(v: &Json, key: &str) -> Result<f64, String> {
@@ -400,18 +403,17 @@ pub fn request_id(v: &Json) -> Json {
 }
 
 /// The canonical cache-key preimage of a request object: the object with
-/// its `"id"` member removed, keys sorted recursively, rendered compactly.
+/// its `"id"` member removed, keys sorted recursively, rendered compactly
+/// ([`Json::write_canonical`]).
 ///
 /// Two requests that differ only in `"id"` (or in member order) map to the
-/// same preimage and therefore the same cache slot.
+/// same preimage and therefore the same cache slot. Of a duplicated key
+/// only the first occurrence counts — the one [`parse_request`] reads — so
+/// a key never names a result computed from other field values.
 pub fn canonical_key(v: &Json) -> String {
-    let stripped = match v {
-        Json::Object(pairs) => {
-            Json::Object(pairs.iter().filter(|(k, _)| k != "id").cloned().collect())
-        }
-        other => other.clone(),
-    };
-    stripped.canonicalize().render()
+    let mut key = String::new();
+    v.write_canonical(&mut key, Some("id"));
+    key
 }
 
 /// Response payload: either a pre-rendered JSON result document or an
@@ -428,7 +430,12 @@ pub enum Body {
 /// `{"id":<id>,"status":"<status>","result":<payload>}` on success,
 /// `{"id":<id>,"status":"<status>","error":"<message>"}` otherwise.
 pub fn response_line(id: &Json, status: ServeStatus, body: &Body) -> String {
-    let mut s = String::with_capacity(64);
+    let text = match body {
+        Body::Payload(text) | Body::Error(text) => text,
+    };
+    // Room for the id, status and framing as well as the body, so a
+    // multi-KB cached payload is copied once.
+    let mut s = String::with_capacity(64 + text.len());
     s.push_str("{\"id\":");
     s.push_str(&id.render());
     s.push_str(",\"status\":\"");
@@ -440,7 +447,7 @@ pub fn response_line(id: &Json, status: ServeStatus, body: &Body) -> String {
         }
         Body::Error(message) => {
             s.push_str("\",\"error\":");
-            s.push_str(&Json::from(message.as_str()).render());
+            lcosc_campaign::json::write_escaped(&mut s, message);
         }
     }
     s.push('}');

@@ -86,6 +86,32 @@ fn cold_and_warmed_cache_produce_identical_bytes() {
     cold.shutdown();
 }
 
+/// A request repeating a key runs with the first occurrence (what the
+/// request parser reads), so it must be cached under that value too: a
+/// later request spelling only the second value must not be answered with
+/// the first one's result.
+#[test]
+fn duplicate_keys_cannot_alias_another_requests_cache_slot() {
+    let transient = |stride: &str| {
+        format!(
+            r#"{{"id":1,"kind":"transient","deck":{{"elements":[{{"kind":"vsource","p":"in","n":"gnd","wave":{{"type":"dc","value":1.0}}}},{{"kind":"resistor","a":"in","b":"gnd","ohms":50.0}}]}},"dt":1e-6,"t_end":2e-5,{stride}}}"#
+        )
+    };
+    let plain = transient(r#""record_stride":8"#);
+    let fresh = engine(1, 16);
+    let expected = fresh.submit_line(&plain).wait();
+    fresh.shutdown();
+    let shared = engine(1, 16);
+    let duplicated = shared
+        .submit_line(&transient(r#""record_stride":1,"record_stride":8"#))
+        .wait();
+    assert!(duplicated.contains("\"status\":\"ok\""), "{duplicated}");
+    assert_ne!(duplicated, expected, "the duplicate runs at stride 1");
+    assert_eq!(shared.submit_line(&plain).wait(), expected);
+    assert_eq!(shared.counters().cache_hits, 0);
+    shared.shutdown();
+}
+
 #[test]
 fn submission_order_does_not_change_any_response() {
     let lines = request_batch();
